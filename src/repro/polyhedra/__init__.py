@@ -33,7 +33,6 @@ from .lattice import (
     enumerate_points,
 )
 from .ehrhart import QuasiPolynomial, ehrhart_univariate, simplex_count
-from .ehrhart2 import QuasiPolynomial2, ehrhart_bivariate
 from .ratlinalg import eval_polynomial, fit_polynomial, solve_rational
 from .batch import nest_scan_array
 from .compile import compile_counter, compile_scanner
@@ -70,8 +69,6 @@ __all__ = [
     "compile_counter",
     "nest_scan_array",
     "compile_scanner",
-    "QuasiPolynomial2",
-    "ehrhart_bivariate",
     "vertices",
     "is_bounded",
     "vertex_bounding_box",

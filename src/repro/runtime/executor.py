@@ -2,38 +2,40 @@
 
 This is the Python twin of the generated C runtime.  The scheduling
 protocol — pending tiles, priority-ordered ready queues, packed-edge
-buffering — lives in one place, :class:`repro.runtime.scheduler.TileScheduler`;
-this module is the *numeric driver* of that core: each started tile
-allocates a padded array, unpacks the incoming edges into its ghost
-margins, scans its local iteration space in the legal direction
-evaluating the user kernel, packs its outgoing edges, and frees the
-array — only edges stay buffered, which is the paper's memory-saving
-design (Section V-B).
+buffering — lives in one place,
+:class:`repro.runtime.scheduler.TileScheduler`, and one driver loop (:mod:`repro.runtime.spmd`) drives it for every
+in-process run: each started tile unpacks its incoming edges into the
+ghost margins of a padded array, scans its local iteration space in the
+legal direction evaluating the user kernel, and packs its outgoing
+edges — only edges stay buffered, which is the paper's memory-saving
+design (Section V-B).  This module owns the numbers: the per-tile body
+(:class:`_RunState`), engine selection and the per-program compiled
+artifacts.
 
-Two center-loop engines share that outer protocol:
+Three center-loop engines share that outer protocol:
 
 * the **interpreter** evaluates the scalar Python kernel point by point
-  (slow, obviously correct), and
+  (slow, obviously correct);
 * the **vectorized fast path** (:mod:`repro.runtime.fastpath`) evaluates
-  whole anti-diagonal wavefronts with numpy array expressions when the
-  spec carries a vector kernel.
+  whole anti-diagonal wavefronts of one tile with numpy array
+  expressions when the spec carries a vector kernel; and
+* the **wavefront** engine evaluates a whole ready front of tiles in one
+  fused pass.
 
 ``execute(..., mode=...)`` selects the engine: ``"auto"`` (default)
-uses the fast path whenever the program supports it and falls back to
-the interpreter otherwise; ``"interpret"``/``"vector"`` force one
-engine (``"vector"`` raises when unsupported).  ``execute(..., ranks=P)``
-with ``P > 1`` partitions the tiles by the load balancer's rank
-assignment and runs the multi-rank SPMD harness
-(:mod:`repro.runtime.spmd`) instead of the single-rank driver; results
-are bit-identical by construction.  All loop-invariant compiled
-artifacts — the local-space scanner, the validity-check closures, the
-vector engine — are cached per program in a :class:`CompiledExecutor`,
-so repeated runs (benchmarks, calibration sweeps) stop re-deriving
-them.
+uses the fastest engine the program supports, stepping down to the
+interpreter; ``"interpret"``/``"vector"``/``"wavefront"`` force one
+engine (raising when unsupported).  ``execute(..., ranks=P)``
+partitions the tiles by the load balancer's rank assignment; every rank
+count runs the same loop, so results are bit-identical by construction.
+All loop-invariant compiled artifacts — the local-space scanner, the
+validity-check closures, the vector engines — are cached per program in
+a :class:`CompiledExecutor`, so repeated runs (benchmarks, calibration
+sweeps) stop re-deriving them.
 
 Every numerical result is produced here by actually evaluating the
 recurrence; tests compare the outputs against independent brute-force
-solvers, and the fast path is pinned bit-identical to the interpreter.
+solvers, and the fast paths are pinned bit-identical to the interpreter.
 """
 
 from __future__ import annotations
@@ -50,11 +52,10 @@ from ..spec import Kernel
 from .fastpath import (
     VectorTileEngine,
     WavefrontEngine,
-    WavefrontRun,
     vector_unsupported_reason,
 )
-from .graph import TileGraph, TileIndex, tile_graph
-from .scheduler import TileScheduler, TransitionEvent
+from .graph import TileGraph, TileIndex
+from .scheduler import TransitionEvent
 
 EXECUTION_MODES = ("auto", "interpret", "vector", "wavefront")
 
@@ -74,13 +75,14 @@ class ExecutionResult:
     #: (producer, consumer) — the raw material of solution recovery
     #: (paper Section VII-A).
     edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = None
-    #: Which center-loop engine produced the numbers ("interpret"/"vector").
+    #: Which center-loop engine produced the numbers ("interpret",
+    #: "vector" or "wavefront").
     mode: str = "interpret"
     #: Which SPMD transport ran the ranks: "inline" (cooperative,
     #: single-thread — also the value for plain single-rank runs) or
     #: "process" (one OS process per rank over shared memory).
     backend: str = "inline"
-    #: How many SPMD ranks executed the run (1 = the plain executor).
+    #: How many SPMD ranks executed the run.
     ranks: int = 1
     #: Per-rank edge-memory snapshots (same keys as ``memory``, which
     #: aggregates across ranks).  Cells are float64 state-array elements;
@@ -154,15 +156,15 @@ def _compile_checks(program: GeneratedProgram):
 
 
 class _RunState:
-    """Per-run numeric state: one tile body shared by every driver.
+    """Per-run numeric state: one tile body shared by every caller.
 
     Owns the objective bookkeeping, the optional ``values`` record, and
     the reused per-point environments of the interpreter.
     :meth:`execute_tile` evaluates one tile's local iteration space
-    (ghosts already unpacked into *array*) with whichever engine the run
-    resolved to — the single-rank executor and the multi-rank SPMD
-    harness call exactly the same body, which is what makes their
-    numbers bit-identical regardless of scheduling.
+    (ghosts already unpacked into *array*) with whichever per-tile
+    engine the run resolved to — the driver loop at every rank count and
+    solution recovery call exactly the same body, which is what makes
+    their numbers bit-identical regardless of scheduling.
     """
 
     def __init__(
@@ -179,9 +181,6 @@ class _RunState:
         self.engine = engine
         spec = ce.spec
         self.objective = spec.objective(params)
-        self.objective_key = tuple(
-            self.objective[v] for v in spec.loop_vars
-        )
         self.objective_tile = ce.program.spaces.point_to_tile(self.objective)
         self.objective_value: Optional[float] = None
         self.values: Optional[Dict[Tuple[int, ...], float]] = (
@@ -197,12 +196,12 @@ class _RunState:
         self._deps: Dict[str, Optional[float]] = {}
 
     def note_objective(self, tile: TileIndex, array: np.ndarray) -> None:
-        """Record the objective cell if *tile* holds it (array engines).
+        """Record the objective cell if *tile* holds it.
 
-        The vector and wavefront engines write whole arrays instead of
-        visiting points one by one, so the objective is read back from
-        the tile's padded array after evaluation; NaN means the
-        objective point is outside the iteration space (prefix runs).
+        The driver loop calls this for every executed tile, whatever the
+        engine: the objective is read back from the tile's padded array
+        after evaluation; NaN means the objective point is outside the
+        iteration space (prefix runs).
         """
         if tile != self.objective_tile:
             return
@@ -226,7 +225,6 @@ class _RunState:
         engine = self.engine
         if engine is not None:
             cells = engine.execute_tile(tile, array, self.params, values)
-            self.note_objective(tile, array)
             self.cells_computed += cells
             return cells
 
@@ -234,7 +232,6 @@ class _RunState:
         genv = self._genv
         point = self._point
         deps = self._deps
-        objective_key = self.objective_key
         check_fns = ce.check_fns
         per_template = ce.per_template
         tile_env = dict(self.params)
@@ -254,14 +251,14 @@ class _RunState:
                 )
                 if ok:
                     ghost = tuple(i + r for i, r in zip(local, vec))
-                    value = array[layout.array_index(ghost)]
-                    if np.isnan(value):
+                    value = float(array[layout.array_index(ghost)])
+                    if value != value:  # NaN: never written
                         raise RuntimeExecutionError(
                             f"tile {tile}: dependency {name} of "
                             f"point {dict(point)} is valid but its "
                             "value was never computed or delivered"
                         )
-                    deps[name] = float(value)
+                    deps[name] = value
                 else:
                     deps[name] = None
             result = kernel(point, deps, self.params)
@@ -269,8 +266,6 @@ class _RunState:
             cells += 1
             if values is not None:
                 values[key] = float(result)
-            if key == objective_key:
-                self.objective_value = float(result)
         self.cells_computed += cells
         return cells
 
@@ -472,175 +467,20 @@ class CompiledExecutor:
         record_events: bool = False,
         schedule: str = "dynamic",
     ) -> ExecutionResult:
-        """One single-rank run: drive the scheduler core, tile by tile."""
-        program = self.program
-        resolved = self.resolve_mode(mode, kernel, keep_edges)
-        params = dict(params)
-        if graph is None:
-            graph = tile_graph(program, params)
-        if resolved == "wavefront":
-            return self._run_wavefront(
-                params, graph, priority_scheme, record_values, record_events,
-                schedule,
-            )
-        spaces = program.spaces
-        layout = program.layout
-        local_vars = spaces.local_vars
-        deltas = program.deltas
-        pack_plans = program.pack_plans
-
-        state = self.make_run_state(params, kernel, resolved, record_values)
-        sched = TileScheduler(
-            graph,
+        """One single-rank run: the shared driver loop
+        (:func:`repro.runtime.spmd.run_spmd`) at ``ranks=1``."""
+        return spmd.run_spmd(
+            self.program,
+            params,
+            ranks=1,
+            kernel=kernel,
             priority_scheme=priority_scheme,
+            record_values=record_values,
+            graph=graph,
+            keep_edges=keep_edges,
+            mode=mode,
             record_events=record_events,
             schedule=schedule,
-        )
-        sched.seed()
-
-        tile_tuples = graph.tile_tuples
-        kept_edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = (
-            {} if keep_edges else None
-        )
-        tile_order: List[TileIndex] = []
-
-        while True:
-            row = sched.start_tile(0)
-            if row is None:
-                break
-            tile = tile_tuples[row]
-            tile_order.append(tile)
-            array = np.full(layout.padded_shape, np.nan, dtype=np.float64)
-
-            # Unpack incoming edges into the ghost margins.
-            for producer, delta_id, buffer in sched.consume_edges(row):
-                plan = pack_plans[deltas[delta_id]]
-                env = dict(params)
-                env.update(spaces.tile_env(tile_tuples[producer]))
-                plan.unpack(env, buffer, array, layout, local_vars)
-
-            # Execute the tile's local iteration space in the legal order.
-            state.execute_tile(tile, array)
-
-            # Pack outgoing edges, deliver to consumers, release the tile.
-            tile_env = dict(params)
-            tile_env.update(spaces.tile_env(tile))
-            for consumer, delta_id, _, _ in sched.outgoing(row):
-                plan = pack_plans[deltas[delta_id]]
-                buffer = plan.pack(tile_env, array, layout, local_vars)
-                if kept_edges is not None:
-                    kept_edges[(tile, tile_tuples[consumer])] = buffer.copy()
-                sched.send_edge(row, consumer, buffer, len(buffer))
-                sched.deliver_edge(consumer)
-            sched.finish_tile(row)
-
-        sched.verify_drained()
-        if state.cells_computed != graph.total_work():
-            raise RuntimeExecutionError(
-                f"computed {state.cells_computed} cells but the graph holds "
-                f"{graph.total_work()} points"
-            )
-
-        return ExecutionResult(
-            objective_point=state.objective,
-            objective_value=state.objective_value,
-            tiles_executed=len(tile_order),
-            cells_computed=state.cells_computed,
-            tile_order=tile_order,
-            memory=sched.memory_snapshot(),
-            values=state.values,
-            edges=kept_edges,
-            mode=resolved,
-            ranks=1,
-            memory_per_rank=sched.memory_per_rank(),
-            tiles_per_rank=list(sched.finished_per_rank),
-            events=sched.events,
-            schedule=schedule,
-            tile_widths=dict(self.spec.tile_widths),
-        )
-
-    def _run_wavefront(
-        self,
-        params: Dict[str, int],
-        graph: TileGraph,
-        priority_scheme: str,
-        record_values: bool,
-        record_events: bool,
-        schedule: str = "dynamic",
-    ) -> ExecutionResult:
-        """One single-rank wavefront-fused run: drain whole fronts.
-
-        The batch scheduler pops every ready tile of the current static
-        wavefront level at once and :class:`WavefrontRun` evaluates the
-        front against one shared padded array — interior edges travel as
-        array slices, so nothing is ever packed (the priority scheme is
-        irrelevant here: the schedule *is* the level order).  The
-        per-tile path stays the oracle; results are pinned bit-identical
-        in tests/test_wavefront.py.
-        """
-        state = self.make_run_state(params, None, "wavefront", record_values)
-        sched = TileScheduler(
-            graph,
-            priority_scheme=priority_scheme,
-            record_events=record_events,
-            batch=True,
-            schedule=schedule,
-        )
-        sched.seed()
-        # One ghost-array arena sized for the widest static front,
-        # reused by every execute_batch call instead of a fresh
-        # allocation per front (results are read out before the next
-        # batch overwrites it).
-        cap = int(np.bincount(graph.wavefront_levels()).max())
-        arena = np.empty(
-            (cap,) + tuple(self.program.layout.padded_shape),
-            dtype=np.float64,
-        )
-        run = WavefrontRun(
-            self.wavefront_engine, graph, params, values=state.values,
-            arena=arena,
-        )
-
-        tile_tuples = graph.tile_tuples
-        tile_order: List[TileIndex] = []
-        while True:
-            rows = sched.start_batch(0)
-            if not rows:
-                break
-            batch = run.execute_batch(rows)
-            for b, row in enumerate(rows):
-                tile = tile_tuples[row]
-                tile_order.append(tile)
-                state.note_objective(tile, batch[b])
-                for consumer, _, _, _ in sched.outgoing(row):
-                    sched.deliver_edge(consumer)
-                sched.finish_tile(row)
-
-        sched.verify_drained()
-        run.verify_drained()
-        state.cells_computed = run.cells
-        if state.cells_computed != graph.total_work():
-            raise RuntimeExecutionError(
-                f"computed {state.cells_computed} cells but the graph holds "
-                f"{graph.total_work()} points"
-            )
-
-        return ExecutionResult(
-            objective_point=state.objective,
-            objective_value=state.objective_value,
-            tiles_executed=len(tile_order),
-            cells_computed=state.cells_computed,
-            tile_order=tile_order,
-            memory=sched.memory_snapshot(),
-            values=state.values,
-            edges=None,
-            mode="wavefront",
-            ranks=1,
-            memory_per_rank=sched.memory_per_rank(),
-            tiles_per_rank=list(sched.finished_per_rank),
-            events=sched.events,
-            schedule=schedule,
-            tile_widths=dict(self.spec.tile_widths),
         )
 
 
@@ -684,11 +524,11 @@ def execute(
     stepping down to the per-tile vector engine under *keep_edges* and
     to the interpreter otherwise), ``"interpret"``, ``"vector"``, or
     ``"wavefront"`` (forced modes raise when the engine cannot run this
-    program).  *ranks* > 1 partitions the tiles
-    with the load balancer (*lb_method*) and runs the SPMD harness —
-    same numbers, plus per-rank accounting and cross-rank message
-    counts.  *record_events* returns the scheduler's transition trace
-    in ``ExecutionResult.events``.  *backend* selects the multi-rank
+    program).  *ranks* (at least 1) partitions the tiles with the load
+    balancer (*lb_method*); every rank count runs the one driver loop of
+    :mod:`repro.runtime.spmd` — same numbers, plus per-rank accounting
+    and cross-rank message counts.  *record_events* returns the
+    scheduler's transition trace in ``ExecutionResult.events``.  *backend* selects the multi-rank
     transport: ``"inline"`` (default — ranks interleaved cooperatively
     in this thread, the deterministic oracle) or ``"process"`` (one OS
     worker process per rank over ``multiprocessing.shared_memory``
@@ -738,33 +578,19 @@ def execute(
         schedule = decision.schedule
         if decision.tile_widths != dict(program.spec.tile_widths):
             program = retile_program(program, decision.tile_widths)
-    if backend != "inline" or ranks > 1:
-        from .spmd import run_spmd
-
-        return run_spmd(
-            program,
-            params,
-            ranks=ranks,
-            kernel=kernel,
-            priority_scheme=priority_scheme,
-            record_values=record_values,
-            graph=graph,
-            keep_edges=keep_edges,
-            mode=mode,
-            lb_method=lb_method,
-            record_events=record_events,
-            backend=backend,
-            schedule=schedule,
-        )
-    return compiled_executor(program).run(
+    return spmd.run_spmd(
+        program,
         params,
+        ranks=ranks,
         kernel=kernel,
         priority_scheme=priority_scheme,
         record_values=record_values,
         graph=graph,
         keep_edges=keep_edges,
         mode=mode,
+        lb_method=lb_method,
         record_events=record_events,
+        backend=backend,
         schedule=schedule,
     )
 
@@ -818,3 +644,9 @@ def solve_reference(
         memory={},
         values=store if record_values else None,
     )
+
+
+# The driver loop (spmd) imports ExecutionResult and compiled_executor
+# from this module, so it is imported last, once both exist.  Callers
+# look ``spmd.run_spmd`` up at call time, which keeps it patchable.
+from . import spmd  # noqa: E402

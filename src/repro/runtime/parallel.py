@@ -8,10 +8,11 @@ the same protocol across real ``multiprocessing`` workers:
 * **Workers fork, artifacts are inherited.**  The parent resolves the
   engine, builds the tile graph, the rank assignment and every compiled
   artifact *before* forking, so each worker shares them copy-on-write —
-  no pickling of programs, kernels or CSR arrays.  Each worker drives
-  its own :class:`~repro.runtime.scheduler.TileScheduler` (wavefront-
-  batched when the engine supports it, exactly like PR 5's fused path)
-  restricted to its rank's tiles.
+  no pickling of programs, kernels or CSR arrays.  Each worker runs the
+  shared driver loop of :mod:`repro.runtime.spmd` (its own
+  :class:`~repro.runtime.scheduler.TileScheduler`, wavefront-batched
+  when the engine supports it) restricted to its rank's tiles, over
+  the process transport below.
 
 * **Ghost arrays live in ``multiprocessing.shared_memory``.**  The
   parent creates one segment per cross-rank ``(src, dst)`` channel —
@@ -58,7 +59,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -69,11 +70,9 @@ from ..errors import RuntimeExecutionError
 from ..generator.pipeline import GeneratedProgram
 from ..spec import Kernel
 from .executor import ExecutionResult, compiled_executor
-from .fastpath import WavefrontRun
-from .graph import TileGraph, TileIndex, tile_graph
-from .memory import EdgeMemoryTracker
+from .graph import TileGraph
 from .scheduler import TileScheduler, TransitionEvent
-from .spmd import spmd_rank_assignment, validate_rank_of
+from .spmd import _assemble, _prepare, _RankLoop, _Run
 
 __all__ = ["run_spmd_process", "cross_edge_slots", "arena_capacities"]
 
@@ -190,17 +189,7 @@ class _SegmentPool:
 class _WorkerContext:
     """Everything one worker needs, inherited through fork (no pickling)."""
 
-    program: GeneratedProgram
-    graph: TileGraph
-    params: Dict[str, int]
-    ranks: int
-    rank_of: List[int]
-    resolved: str
-    kernel: Optional[Kernel]
-    priority_scheme: str
-    record_values: bool
-    record_events: bool
-    keep_edges: bool
+    run: _Run
     slots: Dict[Tuple[int, int], Tuple[int, int, int, int]]
     channel_views: Dict[Tuple[int, int], np.ndarray]
     in_conns: Dict[int, mp_connection.Connection]
@@ -220,11 +209,6 @@ class _WorkerContext:
     #: by its owning endpoints, or the reader never sees EOF when its
     #: peer dies and the fast-abort above can't fire.
     foreign_conns: Tuple[mp_connection.Connection, ...] = ()
-    #: Schedule policy every worker builds its scheduler with.  All
-    #: ranks must agree: the policy decides when tiles leave the ready
-    #: set, and the cross-rank send/recv protocol stays FIFO-identical
-    #: only when both endpoints run the same policy.
-    schedule: str = "dynamic"
 
 
 def _post_edge(ctx: _WorkerContext, row: int, consumer: int,
@@ -297,14 +281,34 @@ def _idle_wait(ctx: _WorkerContext, rank: int, last_progress: float) -> None:
         time.sleep(_POLL_S)
 
 
-def _seed_rank(sched: TileScheduler, graph: TileGraph, rank: int) -> None:
-    """Make this rank's zero-dependency tiles ready (other ranks' tiles
-    execute in other processes and must not pollute this worker's
-    buckets or event trace)."""
-    rank_of = sched.rank_of
-    for row in graph.initial_rows().tolist():
-        if rank_of[row] == rank:
-            sched.make_ready(row)
+class _ProcessTransport:
+    """Cross-rank delivery for one worker: the producer posts silently
+    into its shared-memory slot; ``send_edge`` runs at recv, in this
+    (the consumer's) worker."""
+
+    def __init__(self, ctx: _WorkerContext, sched: TileScheduler, rank: int):
+        self.ctx = ctx
+        self.sched = sched
+        self.rank = rank
+        self.ranks = (rank,)
+        self.total = int((ctx.run.rank_of == rank).sum())
+        self.last_progress = time.monotonic()
+
+    def done(self) -> bool:
+        return self.sched.finished_per_rank[self.rank] >= self.total
+
+    def post(self, rank: int, dest: int, row: int, consumer: int,
+             buffer: np.ndarray) -> None:
+        _post_edge(self.ctx, row, consumer, buffer)
+
+    def drain(self, rank: int) -> bool:
+        return _drain_inbox(self.ctx, self.sched)
+
+    def idle(self, progress: bool) -> None:
+        if progress:
+            self.last_progress = time.monotonic()
+        else:
+            _idle_wait(self.ctx, self.rank, self.last_progress)
 
 
 def _worker_run(
@@ -319,139 +323,18 @@ def _worker_run(
     the partial trace it recorded — the sanitizer's killed-worker
     classification depends on it.
     """
-    program = ctx.program
-    graph = ctx.graph
-    params = ctx.params
-    ce = compiled_executor(program)
-    spaces = program.spaces
-    layout = program.layout
-    local_vars = spaces.local_vars
-    deltas = program.deltas
-    pack_plans = program.pack_plans
-    tile_tuples = graph.tile_tuples
-    wavefront = ctx.resolved == "wavefront"
-
-    sched = TileScheduler(
-        graph,
-        ranks=ctx.ranks,
-        rank_of=ctx.rank_of,
-        priority_scheme=ctx.priority_scheme,
-        record_events=ctx.record_events,
-        batch=wavefront,
-        schedule=ctx.schedule,
-    )
+    loop = _RankLoop(ctx.run, ctx.arena)
+    sched = loop.sched
     if trace_out is not None:
         trace_out.append(sched.events)
-    _seed_rank(sched, graph, rank)
-    my_total = sum(1 for r in ctx.rank_of if r == rank)
-    tile_order: List[TileIndex] = []
-
-    state = ce.make_run_state(
-        params, None if wavefront else ctx.kernel, ctx.resolved,
-        ctx.record_values,
-    )
-    run: Optional[WavefrontRun] = None
-    if wavefront:
-        run = WavefrontRun(
-            ce.wavefront_engine, graph, params, rank_of=ctx.rank_of,
-            values=state.values, arena=ctx.arena,
-        )
-        pptr = graph.prod_ptr.tolist()
-        prows = graph.prod_rows.tolist()
-    kept_edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = (
-        {} if ctx.keep_edges else None
-    )
-    scratch = ctx.arena[0] if (not wavefront and ctx.arena is not None) else None
-
-    last_progress = time.monotonic()
-    while sched.finished_per_rank[rank] < my_total:
-        progress = _drain_inbox(ctx, sched)
-
-        if wavefront:
-            rows = sched.start_batch(rank)
-            if rows:
-                progress = True
-                packed: Dict[Tuple[int, int], np.ndarray] = {}
-                for row in rows:
-                    for e in range(pptr[row], pptr[row + 1]):
-                        p = prows[e]
-                        if ctx.rank_of[p] != rank:
-                            packed[(p, row)] = sched.take_edge(p, row)
-                batch = run.execute_batch(rows, packed=packed)
-                for b, row in enumerate(rows):
-                    tile = tile_tuples[row]
-                    tile_order.append(tile)
-                    state.note_objective(tile, batch[b])
-                    tile_env: Optional[Dict[str, int]] = None
-                    for consumer, delta_id, _, dest in sched.outgoing(row):
-                        if dest == rank:
-                            sched.deliver_edge(consumer)
-                        else:
-                            if tile_env is None:
-                                tile_env = dict(params)
-                                tile_env.update(spaces.tile_env(tile))
-                            plan = pack_plans[deltas[delta_id]]
-                            buffer = plan.pack(
-                                tile_env, batch[b], layout, local_vars
-                            )
-                            _post_edge(ctx, row, consumer, buffer)
-                    sched.finish_tile(row)
-        else:
-            row = sched.start_tile(rank)
-            if row is not None:
-                progress = True
-                tile = tile_tuples[row]
-                tile_order.append(tile)
-                if scratch is not None:
-                    array = scratch
-                    array.fill(np.nan)
-                else:
-                    array = np.full(
-                        layout.padded_shape, np.nan, dtype=np.float64
-                    )
-                for producer, delta_id, buffer in sched.consume_edges(row):
-                    plan = pack_plans[deltas[delta_id]]
-                    env = dict(params)
-                    env.update(spaces.tile_env(tile_tuples[producer]))
-                    plan.unpack(env, buffer, array, layout, local_vars)
-                state.execute_tile(tile, array)
-                tile_env = dict(params)
-                tile_env.update(spaces.tile_env(tile))
-                for consumer, delta_id, _, dest in sched.outgoing(row):
-                    plan = pack_plans[deltas[delta_id]]
-                    buffer = plan.pack(tile_env, array, layout, local_vars)
-                    if kept_edges is not None:
-                        kept_edges[(tile, tile_tuples[consumer])] = (
-                            buffer.copy()
-                        )
-                    if dest == rank:
-                        sched.send_edge(row, consumer, buffer, len(buffer))
-                        sched.deliver_edge(consumer)
-                    else:
-                        _post_edge(ctx, row, consumer, buffer)
-                sched.finish_tile(row)
-
-        if progress:
-            last_progress = time.monotonic()
-        else:
-            _idle_wait(ctx, rank, last_progress)
-
-    sched.verify_rank_drained(rank)
-    if wavefront:
-        run.verify_drained()
-        state.cells_computed = run.cells
-    return {
-        "objective_value": state.objective_value,
-        "cells": state.cells_computed,
-        "tiles": sched.finished_per_rank[rank],
-        "tile_order": tile_order,
-        "memory": sched.trackers[rank].snapshot(),
-        "cross_rank_messages": sched.cross_rank_messages,
-        "cross_rank_cells": sched.cross_rank_cells,
-        "values": state.values,
-        "events": sched.events,
-        "edges": kept_edges,
-    }
+    # Only this rank's zero-dependency tiles: other ranks' tiles execute
+    # in other processes and must not pollute this worker's buckets or
+    # event trace.
+    for row in ctx.run.graph.initial_rows().tolist():
+        if sched.rank_of[row] == rank:
+            sched.make_ready(row)
+    loop.drive(_ProcessTransport(ctx, sched, rank))
+    return loop.finish([rank])
 
 
 def _worker_main(rank: int, ctx: _WorkerContext) -> None:
@@ -621,8 +504,6 @@ def run_spmd_process(
     module docstring for the two result-shape deviations
     (``tile_order`` grouping and aggregate ``memory``).
     """
-    if ranks < 1:
-        raise RuntimeExecutionError(f"rank count must be >= 1, got {ranks}")
     if "fork" not in multiprocessing.get_all_start_methods():
         raise RuntimeExecutionError(
             "the process SPMD backend needs the POSIX 'fork' start "
@@ -630,22 +511,15 @@ def run_spmd_process(
             "write); use backend='inline' on this platform"
         )
     mp_ctx = multiprocessing.get_context("fork")
-
-    ce = compiled_executor(program)
-    resolved = ce.resolve_mode(mode, kernel, keep_edges)
-    params = dict(params)
-    if graph is None:
-        graph = tile_graph(program, params)
-    if rank_of is None:
-        rank_of = spmd_rank_assignment(
-            program, params, graph, ranks, lb_method=lb_method
-        )
-    else:
-        rank_of = validate_rank_of(rank_of, graph, ranks)
-    rank_list = [int(r) for r in rank_of]
+    run = _prepare(
+        program, params, ranks, kernel, priority_scheme, record_values,
+        graph, keep_edges, mode, lb_method, record_events, rank_of, schedule,
+    )
+    graph, rank_of, resolved = run.graph, run.rank_of, run.resolved
 
     # Touch every shared compiled artifact *before* forking so workers
     # inherit it copy-on-write instead of re-deriving it P times.
+    ce = compiled_executor(program)
     graph.tile_tuples
     if schedule == "static":
         # The static policy derives its level barriers from these in
@@ -700,17 +574,7 @@ def run_spmd_process(
             arena = pool.allocate((cap,) + padded_shape) if cap else None
 
             ctx = _WorkerContext(
-                program=program,
-                graph=graph,
-                params=params,
-                ranks=ranks,
-                rank_of=rank_list,
-                resolved=resolved,
-                kernel=kernel,
-                priority_scheme=priority_scheme,
-                record_values=record_values,
-                record_events=record_events,
-                keep_edges=keep_edges,
+                run=run,
                 slots=slots,
                 channel_views=channel_views,
                 in_conns=in_conns[r],
@@ -721,7 +585,6 @@ def run_spmd_process(
                 parent_pid=os.getpid(),
                 expected_in=expected_in_all[r],
                 recv_counts={src: 0 for src in expected_in_all[r]},
-                schedule=schedule,
                 foreign_conns=tuple(
                     conn
                     for conn in parent_conns
@@ -765,90 +628,10 @@ def run_spmd_process(
                 pass
         pool.release()
 
-    return _merge_payloads(
-        program, params, graph, ranks, resolved, payloads,
-        record_values, record_events, keep_edges, len(slots),
-        schedule=schedule,
-    )
-
-
-def _merge_payloads(
-    program: GeneratedProgram,
-    params: Dict[str, int],
-    graph: TileGraph,
-    ranks: int,
-    resolved: str,
-    payloads: Dict[int, Dict[str, object]],
-    record_values: bool,
-    record_events: bool,
-    keep_edges: bool,
-    n_cross_edges: int,
-    schedule: str = "dynamic",
-) -> ExecutionResult:
-    """Fold per-rank payloads into one :class:`ExecutionResult`."""
-    cells = sum(p["cells"] for p in payloads.values())
-    if cells != graph.total_work():
-        raise RuntimeExecutionError(
-            f"workers computed {cells} cells but the graph holds "
-            f"{graph.total_work()} points"
-        )
     messages = sum(p["cross_rank_messages"] for p in payloads.values())
-    if messages != n_cross_edges:
+    if messages != len(slots):
         raise RuntimeExecutionError(
             f"{messages} cross-rank messages were received but the "
-            f"rank assignment cuts {n_cross_edges} edges"
+            f"rank assignment cuts {len(slots)} edges"
         )
-
-    objective_value: Optional[float] = None
-    for r in sorted(payloads):
-        v = payloads[r]["objective_value"]
-        if v is not None:
-            objective_value = v
-            break
-
-    tile_order: List[TileIndex] = []
-    for r in sorted(payloads):
-        tile_order.extend(payloads[r]["tile_order"])
-
-    values = None
-    if record_values:
-        values = {}
-        for r in sorted(payloads):
-            values.update(payloads[r]["values"])
-
-    events = None
-    if record_events:
-        events = []
-        for r in sorted(payloads):
-            for e in payloads[r]["events"]:
-                events.append(replace(e, seq=len(events)))
-
-    edges = None
-    if keep_edges:
-        edges = {}
-        for r in sorted(payloads):
-            edges.update(payloads[r]["edges"])
-
-    memory_per_rank = [payloads[r]["memory"] for r in sorted(payloads)]
-    return ExecutionResult(
-        objective_point=program.spec.objective(params),
-        objective_value=objective_value,
-        tiles_executed=sum(p["tiles"] for p in payloads.values()),
-        cells_computed=cells,
-        tile_order=tile_order,
-        memory=EdgeMemoryTracker.merge_snapshots(memory_per_rank),
-        values=values,
-        edges=edges,
-        mode=resolved,
-        backend="process",
-        ranks=ranks,
-        memory_per_rank=memory_per_rank,
-        tiles_per_rank=[payloads[r]["tiles"] for r in sorted(payloads)],
-        cross_rank_messages=messages,
-        cross_rank_cells=sum(
-            p["cross_rank_cells"] for p in payloads.values()
-        ),
-        events=events,
-        schedule=schedule,
-        tile_widths=dict(program.spec.tile_widths),
-    )
+    return _assemble(run, "process", [payloads[r] for r in sorted(payloads)])

@@ -19,10 +19,11 @@ neighbours).
 Recovery owns no scheduling or compilation machinery of its own: the
 forward pass is :func:`repro.runtime.executor.execute` (and therefore
 :class:`repro.runtime.scheduler.TileScheduler`), tile recomputation
-reuses the :class:`~repro.runtime.executor.CompiledExecutor`'s cached
-scanner and public ``validity_checks``, and producer edges come from
-the graph's CSR arrays — the same delta-order walk the unpack loop
-uses.
+runs the interpreter's own tile body
+(:meth:`~repro.runtime.executor.CompiledExecutor.make_run_state` →
+``execute_tile``) with its cached scanner and validity checks, and
+producer edges come from the graph's CSR arrays — the same delta-order
+walk the unpack loop uses.
 """
 
 from __future__ import annotations
@@ -78,10 +79,9 @@ class SolutionRecovery:
         )
         self._cache: "OrderedDict[TileIndex, Dict[Point, float]]" = OrderedDict()
         self._cache_tiles = cache_tiles
-        # The executor's compiled artifacts, shared rather than re-derived:
-        # the local-space scanner and the validity-check closures.
+        # The executor's compiled artifacts and interpreter tile body,
+        # shared rather than re-derived.
         self._compiled = compiled_executor(program)
-        self._check_fns, self._per_template = self._compiled.validity_checks
 
     # -- tile recomputation -------------------------------------------------
 
@@ -92,11 +92,8 @@ class SolutionRecovery:
             self._cache.move_to_end(tile)
             return cached
         program = self.program
-        spec = program.spec
         spaces = program.spaces
         layout = program.layout
-        params = self.params
-        deltas = program.deltas
         edges = self.result.edges
         assert edges is not None
         row = self.graph.row_of(tile)
@@ -105,41 +102,17 @@ class SolutionRecovery:
         array = np.full(layout.padded_shape, np.nan)
         for producer_row, delta_id in self.graph.producer_edges(row):
             producer = tile_tuples[producer_row]
-            plan = program.pack_plans[deltas[delta_id]]
-            env = dict(params)
+            plan = program.pack_plans[program.deltas[delta_id]]
+            env = dict(self.params)
             env.update(spaces.tile_env(producer))
             plan.unpack(
                 env, edges[(producer, tile)], array, layout, spaces.local_vars
             )
-
-        scan = self._compiled.scan
-        tile_env = dict(params)
-        tile_env.update(spaces.tile_env(tile))
-        widths = spec.tile_width_vector()
-        template_items = list(spec.templates.items())
-
-        values: Dict[Point, float] = {}
-        for local in scan(tile_env):
-            point = {
-                x: widths[k] * tile[k] + local[k]
-                for k, x in enumerate(spec.loop_vars)
-            }
-            genv = dict(params)
-            genv.update(point)
-            deps: Dict[str, Optional[float]] = {}
-            for name, vec in template_items:
-                ok = all(
-                    self._check_fns[i](genv)
-                    for i in self._per_template[name]
-                )
-                if ok:
-                    ghost = tuple(i + r for i, r in zip(local, vec))
-                    deps[name] = float(array[layout.array_index(ghost)])
-                else:
-                    deps[name] = None
-            value = float(self.kernel(point, deps, params))
-            array[layout.array_index(local)] = value
-            values[tuple(point[v] for v in spec.loop_vars)] = value
+        state = self._compiled.make_run_state(
+            self.params, self.kernel, "interpret", record_values=True
+        )
+        state.execute_tile(tile, array)
+        values = state.values
 
         self._cache[tile] = values
         if len(self._cache) > self._cache_tiles:

@@ -1,39 +1,44 @@
-"""Multi-rank SPMD execution harness (paper Sections V–VI, end to end).
+"""The driver loop of every in-process run (paper Sections V–VI).
 
-``execute(..., ranks=P)`` runs the *whole* generated pipeline the way
-the emitted hybrid C program would on an MPI cluster, entirely
-in-process: the load balancer's Ehrhart-balanced assignment partitions
-the tiles into P ranks, each rank drives its own priority-ordered
-schedule against its own edge buffers, and every edge that crosses a
-rank boundary travels through an explicit in-memory message queue whose
-send/recv ordering mirrors the generated C's MPI protocol:
+The generated C has one runtime loop per rank, and it is the same code
+at every rank count: pop a tile, unpack its edges, run the center loop,
+pack, then send locally or over MPI.  This module is that loop's Python
+twin, and every in-process run uses it — ``execute(...)`` at one rank,
+``execute(..., ranks=P)`` with the inline transport, and each worker of
+the process backend (:mod:`repro.runtime.parallel`).
 
-* **send** — at tile completion the producer rank packs each outgoing
-  edge and posts cross-rank edges to the per-``(src, dst)`` FIFO
-  channel, in lexicographic consumer order (the order the C runtime
-  posts its ``MPI_Isend`` calls);
-* **recv** — at the top of its scheduling turn a rank drains every
-  inbound channel (ascending source rank, FIFO within a channel) before
-  dispatching work, the analogue of the C runtime's message-progress
-  poll before the next heap pop;
-* **pending accounting** — a cross-rank edge decrements the consumer's
-  pending counter only at *recv*, while local edges decrement at pack
-  time, exactly like the generated program.
+One **turn** of a rank (:meth:`_RankLoop.turn`) pops one tile or one
+wavefront batch, gathers its incoming edges, executes it, and hands
+each outgoing edge on: a same-rank edge is delivered at once, a
+cross-rank edge goes to the *transport*.  Two transports exist:
 
-Ranks are interleaved deterministically (round-robin, one tile per
-turn), so the transition-event trace is reproducible byte for byte.
-Because every tile's numerics depend only on its unpacked ghost cells —
-never on global scheduling order — the objective value and every
-recorded cell are bit-identical to the single-rank executor; this
-harness is the first end-to-end numerical validation of the
-load-balance + packing + priority pipeline, and tests pin
+* **inline** — ranks interleave cooperatively in this thread
+  (round-robin, one tile or one wavefront batch per turn), so the
+  transition-event trace is reproducible byte for byte.  A cross-rank
+  edge is accounted (``send_edge``) in the producer's turn and queued on
+  its per-``(src, dst)`` FIFO channel, in lexicographic consumer order
+  (the order the C runtime posts its ``MPI_Isend`` calls);
+* **process** — one OS worker per rank over shared memory; the producer
+  posts silently and ``send_edge`` runs at recv in the consumer's worker.
+
+Either way a rank drains every inbound channel (ascending source rank,
+FIFO within a channel) at the top of its turn, the analogue of the C
+runtime's message-progress poll before the next heap pop, and a
+cross-rank edge decrements the consumer's pending counter only at that
+recv.  ``ranks=1`` is simply the inline loop with no channels.
+
+The load balancer's Ehrhart-balanced assignment partitions the tiles.
+Because every tile's numerics depend only on its ghost cells — never on
+global scheduling order — the objective value and every recorded cell
+are bit-identical at every rank count and transport, and tests pin
 ``execute(..., ranks=P)`` against ``ranks=1`` exactly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +48,7 @@ from ..spec import Kernel
 from .executor import ExecutionResult, compiled_executor
 from .fastpath import WavefrontRun
 from .graph import TileGraph, TileIndex, tile_graph
+from .memory import EdgeMemoryTracker
 from .scheduler import TileScheduler, rank_of_rows
 
 __all__ = ["run_spmd", "spmd_rank_assignment", "validate_rank_of"]
@@ -112,6 +118,337 @@ def spmd_rank_assignment(
     return rank_of_rows(graph, balance)
 
 
+@dataclass
+class _Run:
+    """One resolved run: everything a rank's loop is built from.
+
+    Built once per run by :func:`_prepare` for either transport; process
+    workers inherit it through fork.
+    """
+
+    program: GeneratedProgram
+    params: Dict[str, int]
+    graph: TileGraph
+    ranks: int
+    rank_of: np.ndarray
+    #: The concrete engine ("interpret", "vector" or "wavefront").
+    resolved: str
+    kernel: Optional[Kernel]
+    priority_scheme: str
+    #: Every rank builds its scheduler with this policy: the cross-rank
+    #: send/recv protocol stays FIFO-identical only when both endpoints
+    #: run the same one.
+    schedule: str
+    record_values: bool
+    record_events: bool
+    keep_edges: bool
+
+
+def _prepare(
+    program: GeneratedProgram,
+    params: Mapping[str, int],
+    ranks: int,
+    kernel: Optional[Kernel],
+    priority_scheme: str,
+    record_values: bool,
+    graph: Optional[TileGraph],
+    keep_edges: bool,
+    mode: str,
+    lb_method: str,
+    record_events: bool,
+    rank_of: Optional[np.ndarray],
+    schedule: str,
+) -> _Run:
+    """Per-run setup shared by both transports: validate the rank count,
+    resolve the engine, build the graph and the rank assignment."""
+    if ranks < 1:
+        raise RuntimeExecutionError(f"rank count must be >= 1, got {ranks}")
+    ce = compiled_executor(program)
+    resolved = ce.resolve_mode(mode, kernel, keep_edges)
+    params = dict(params)
+    if graph is None:
+        graph = tile_graph(program, params)
+    if rank_of is None:
+        rank_of = spmd_rank_assignment(
+            program, params, graph, ranks, lb_method=lb_method
+        )
+    else:
+        rank_of = validate_rank_of(rank_of, graph, ranks)
+    return _Run(
+        program, params, graph, ranks, rank_of, resolved, kernel,
+        priority_scheme, schedule, record_values, record_events, keep_edges,
+    )
+
+
+class _RankLoop:
+    """The per-rank loop of the generated runtime, for every transport.
+
+    Holds the scheduler, the numeric state and the ghost-array *arena*
+    of the ranks one process drives: every rank for the inline
+    transport, one rank per process worker.  A per-tile engine unpacks
+    into ``arena[0]``; the wavefront engine evaluates whole fronts into
+    ``arena[:B]`` (a fresh array when the arena is too small).
+    """
+
+    def __init__(self, run: _Run, arena: Optional[np.ndarray]):
+        ce = compiled_executor(run.program)
+        graph = run.graph
+        wavefront = run.resolved == "wavefront"
+        self.run = run
+        self.arena = arena
+        self.state = ce.make_run_state(
+            run.params, run.kernel, run.resolved, run.record_values
+        )
+        self.sched = TileScheduler(
+            graph,
+            ranks=run.ranks,
+            rank_of=run.rank_of,
+            priority_scheme=run.priority_scheme,
+            record_events=run.record_events,
+            batch=wavefront,
+            schedule=run.schedule,
+        )
+        self.batch: Optional[WavefrontRun] = None
+        if wavefront:
+            self.batch = WavefrontRun(
+                ce.wavefront_engine, graph, run.params, rank_of=run.rank_of,
+                values=self.state.values, arena=arena,
+            )
+        self.kept_edges: Optional[
+            Dict[Tuple[TileIndex, TileIndex], np.ndarray]
+        ] = ({} if run.keep_edges else None)
+        self.tile_order: List[TileIndex] = []
+        # Cross-rank producers of each row, in delta order: the only
+        # incoming edges a wavefront batch takes from the packed store
+        # (same-rank edges ghost-fill from retained interiors).
+        self.cross_in: Dict[int, List[int]] = {}
+        if wavefront and run.ranks > 1:
+            rank_of = run.rank_of
+            owner = np.repeat(
+                np.arange(len(graph.tile_tuples)), np.diff(graph.prod_ptr)
+            )
+            prows = graph.prod_rows
+            cross = np.flatnonzero(rank_of[prows] != rank_of[owner])
+            for e in cross.tolist():
+                self.cross_in.setdefault(int(owner[e]), []).append(
+                    int(prows[e])
+                )
+
+    def _tile_env(self, row: int) -> Dict[str, int]:
+        env = dict(self.run.params)
+        tile = self.sched.tile_tuples[row]
+        env.update(self.run.program.spaces.tile_env(tile))
+        return env
+
+    def turn(self, rank: int, transport) -> bool:
+        """One scheduling turn of *rank*; True when it made progress.
+
+        Receive, pop one tile (per-tile engines) or one wavefront batch,
+        gather the incoming edges, execute, then send each outgoing edge
+        and release the tiles.  A same-rank edge is delivered at once —
+        the per-tile engine packs it first, the batch engine does not
+        (its consumer ghost-fills from the retained interior); a
+        cross-rank edge is packed and handed to *transport*.
+        """
+        received = transport.drain(rank)
+        sched = self.sched
+        program = self.run.program
+        layout = program.layout
+        local_vars = program.spaces.local_vars
+        plans = program.pack_plans
+        deltas = program.deltas
+        tile_tuples = sched.tile_tuples
+        batch = self.batch
+        if batch is not None:
+            rows = sched.start_batch(rank)
+            if not rows:
+                return received
+            packed: Dict[Tuple[int, int], np.ndarray] = {}
+            for row in rows:
+                for p in self.cross_in.get(row, ()):
+                    packed[(p, row)] = sched.take_edge(p, row)
+            arrays = batch.execute_batch(rows, packed=packed)
+        else:
+            row = sched.start_tile(rank)
+            if row is None:
+                return received
+            rows = (row,)
+            arrays = self.arena[:1]
+            array = arrays[0]
+            array.fill(np.nan)
+            for producer, delta_id, buffer in sched.consume_edges(row):
+                plans[deltas[delta_id]].unpack(
+                    self._tile_env(producer), buffer, array, layout,
+                    local_vars,
+                )
+            self.state.execute_tile(tile_tuples[row], array)
+
+        kept = self.kept_edges
+        for row, array in zip(rows, arrays):
+            tile = tile_tuples[row]
+            self.tile_order.append(tile)
+            self.state.note_objective(tile, array)
+            env = None
+            for consumer, delta_id, _, dest in sched.outgoing(row):
+                if dest == rank and batch is not None:
+                    sched.deliver_edge(consumer)
+                    continue
+                if env is None:
+                    env = self._tile_env(row)
+                buffer = plans[deltas[delta_id]].pack(
+                    env, array, layout, local_vars
+                )
+                if kept is not None:
+                    kept[(tile, tile_tuples[consumer])] = buffer.copy()
+                if dest == rank:
+                    sched.send_edge(row, consumer, buffer, len(buffer))
+                    sched.deliver_edge(consumer)
+                else:
+                    transport.post(rank, dest, row, consumer, buffer)
+            sched.finish_tile(row)
+        return True
+
+    def drive(self, transport) -> None:
+        """Take turns for the transport's ranks until they are done."""
+        while not transport.done():
+            progress = False
+            for rank in transport.ranks:
+                if self.turn(rank, transport):
+                    progress = True
+            transport.idle(progress)
+
+    def finish(self, ranks: Sequence[int]) -> Dict[str, object]:
+        """Terminal checks for the driven *ranks*; returns their payload
+        for :func:`_assemble`."""
+        sched = self.sched
+        every_rank = len(ranks) == sched.ranks
+        if every_rank:
+            sched.verify_drained()
+        else:
+            for rank in ranks:
+                sched.verify_rank_drained(rank)
+        if self.batch is not None:
+            self.batch.verify_drained()
+            self.state.cells_computed = self.batch.cells
+        per_rank = [sched.trackers[r].snapshot() for r in ranks]
+        return {
+            "objective_value": self.state.objective_value,
+            "cells": self.state.cells_computed,
+            "tile_order": self.tile_order,
+            "memory": sched.memory_snapshot() if every_rank else per_rank[0],
+            "memory_per_rank": per_rank,
+            "tiles_per_rank": [sched.finished_per_rank[r] for r in ranks],
+            "cross_rank_messages": sched.cross_rank_messages,
+            "cross_rank_cells": sched.cross_rank_cells,
+            "values": self.state.values,
+            "events": sched.events,
+            "edges": self.kept_edges,
+        }
+
+
+class _InlineTransport:
+    """Cooperative delivery between ranks interleaved in this thread.
+
+    One FIFO deque per ``(src, dst)`` rank pair holds consumer rows; the
+    producer's turn already buffered the edge (``send_edge`` fires at
+    post) and the pending decrement waits for the consumer's drain.
+    """
+
+    def __init__(self, sched: TileScheduler):
+        self.sched = sched
+        self.ranks = range(sched.ranks)
+        self.channels: Dict[Tuple[int, int], Deque[int]] = {
+            (src, dst): deque()
+            for src in self.ranks
+            for dst in self.ranks
+            if src != dst
+        }
+
+    def done(self) -> bool:
+        return self.sched.finished >= len(self.sched.tile_tuples)
+
+    def post(self, rank: int, dest: int, row: int, consumer: int,
+             buffer: np.ndarray) -> None:
+        self.sched.send_edge(row, consumer, buffer, len(buffer))
+        self.channels[(rank, dest)].append(consumer)
+
+    def drain(self, rank: int) -> bool:
+        """Receive every queued cross-rank edge addressed to *rank*."""
+        received = False
+        for src in self.ranks:
+            if src == rank:
+                continue
+            channel = self.channels[(src, rank)]
+            while channel:
+                self.sched.deliver_edge(channel.popleft())
+                received = True
+        return received
+
+    def idle(self, progress: bool) -> None:
+        if not progress:
+            raise RuntimeExecutionError(
+                f"SPMD deadlock: {self.sched.finished} of "
+                f"{len(self.sched.tile_tuples)} tiles ran, no rank can "
+                "make progress"
+            )
+
+
+def _assemble(
+    run: _Run, backend: str, payloads: Sequence[Dict[str, object]]
+) -> ExecutionResult:
+    """Fold loop payloads — the one inline loop, or every process worker
+    in rank order — into the run's :class:`ExecutionResult`."""
+    cells = sum(p["cells"] for p in payloads)
+    if cells != run.graph.total_work():
+        raise RuntimeExecutionError(
+            f"computed {cells} cells but the graph holds "
+            f"{run.graph.total_work()} points"
+        )
+
+    def merged(key: str):
+        first = payloads[0][key]
+        if first is not None:
+            for p in payloads[1:]:
+                first.update(p[key])
+        return first
+
+    events = None
+    if run.record_events:
+        stream = (e for p in payloads for e in p["events"])
+        events = [replace(e, seq=i) for i, e in enumerate(stream)]
+    objective_value = next(
+        (p["objective_value"] for p in payloads
+         if p["objective_value"] is not None),
+        None,
+    )
+    tiles_per_rank = [n for p in payloads for n in p["tiles_per_rank"]]
+    return ExecutionResult(
+        objective_point=run.program.spec.objective(run.params),
+        objective_value=objective_value,
+        tiles_executed=sum(tiles_per_rank),
+        cells_computed=cells,
+        tile_order=[t for p in payloads for t in p["tile_order"]],
+        memory=(
+            payloads[0]["memory"] if len(payloads) == 1
+            else EdgeMemoryTracker.merge_snapshots(
+                [p["memory"] for p in payloads]
+            )
+        ),
+        values=merged("values"),
+        edges=merged("edges"),
+        mode=run.resolved,
+        backend=backend,
+        ranks=run.ranks,
+        memory_per_rank=[m for p in payloads for m in p["memory_per_rank"]],
+        tiles_per_rank=tiles_per_rank,
+        cross_rank_messages=sum(p["cross_rank_messages"] for p in payloads),
+        cross_rank_cells=sum(p["cross_rank_cells"] for p in payloads),
+        events=events,
+        schedule=run.schedule,
+        tile_widths=dict(run.program.spec.tile_widths),
+    )
+
+
 def run_spmd(
     program: GeneratedProgram,
     params: Mapping[str, int],
@@ -151,9 +488,9 @@ def run_spmd(
             f"unknown SPMD backend {backend!r}; expected one of "
             f"{SPMD_BACKENDS}"
         )
-    if backend == "process":
-        from .parallel import run_spmd_process
+    from .parallel import arena_capacities, run_spmd_process
 
+    if backend == "process":
         return run_spmd_process(
             program,
             params,
@@ -169,306 +506,22 @@ def run_spmd(
             rank_of=rank_of,
             schedule=schedule,
         )
-    if ranks < 1:
-        raise RuntimeExecutionError(f"rank count must be >= 1, got {ranks}")
-    ce = compiled_executor(program)
-    resolved = ce.resolve_mode(mode, kernel, keep_edges)
-    params = dict(params)
-    if graph is None:
-        graph = tile_graph(program, params)
-    if rank_of is None:
-        rank_of = spmd_rank_assignment(
-            program, params, graph, ranks, lb_method=lb_method
-        )
-    else:
-        rank_of = validate_rank_of(rank_of, graph, ranks)
-    if resolved == "wavefront":
-        return _run_spmd_wavefront(
-            ce,
-            program,
-            params,
-            ranks,
-            graph,
-            rank_of,
-            priority_scheme,
-            record_values,
-            record_events,
-            schedule,
-        )
-
-    spaces = program.spaces
-    layout = program.layout
-    local_vars = spaces.local_vars
-    deltas = program.deltas
-    pack_plans = program.pack_plans
-
-    state = ce.make_run_state(params, kernel, resolved, record_values)
-    sched = TileScheduler(
-        graph,
-        ranks=ranks,
-        rank_of=rank_of,
-        priority_scheme=priority_scheme,
-        record_events=record_events,
-        schedule=schedule,
+    run = _prepare(
+        program, params, ranks, kernel, priority_scheme, record_values,
+        graph, keep_edges, mode, lb_method, record_events, rank_of, schedule,
     )
-    sched.seed()
-
-    tile_tuples = graph.tile_tuples
-    T = len(tile_tuples)
-    kept_edges: Optional[Dict[Tuple[TileIndex, TileIndex], np.ndarray]] = (
-        {} if keep_edges else None
-    )
-    tile_order: List[TileIndex] = []
-
-    # One FIFO channel per (source, destination) rank pair; entries are
-    # consumer rows whose edge buffer is already in the scheduler's
-    # store.  Delivery (the pending decrement) happens at recv.
-    channels: Dict[Tuple[int, int], Deque[int]] = {
-        (src, dst): deque()
-        for src in range(ranks)
-        for dst in range(ranks)
-        if src != dst
-    }
-
-    def drain_inbox(rank: int) -> bool:
-        """Receive every queued cross-rank edge addressed to *rank*."""
-        received = False
-        for src in range(ranks):
-            if src == rank:
-                continue
-            channel = channels[(src, rank)]
-            while channel:
-                sched.deliver_edge(channel.popleft())
-                received = True
-        return received
-
-    while sched.finished < T:
-        progress = False
-        for rank in range(ranks):
-            if drain_inbox(rank):
-                progress = True
-            row = sched.start_tile(rank)
-            if row is None:
-                continue
-            progress = True
-            tile = tile_tuples[row]
-            tile_order.append(tile)
-            array = np.full(layout.padded_shape, np.nan, dtype=np.float64)
-
-            # Unpack incoming edges into the ghost margins.
-            for producer, delta_id, buffer in sched.consume_edges(row):
-                plan = pack_plans[deltas[delta_id]]
-                env = dict(params)
-                env.update(spaces.tile_env(tile_tuples[producer]))
-                plan.unpack(env, buffer, array, layout, local_vars)
-
-            state.execute_tile(tile, array)
-
-            # Pack outgoing edges: local edges deliver immediately,
-            # cross-rank edges post to the destination's FIFO channel.
-            tile_env = dict(params)
-            tile_env.update(spaces.tile_env(tile))
-            for consumer, delta_id, _, dest_rank in sched.outgoing(row):
-                plan = pack_plans[deltas[delta_id]]
-                buffer = plan.pack(tile_env, array, layout, local_vars)
-                if kept_edges is not None:
-                    kept_edges[(tile, tile_tuples[consumer])] = buffer.copy()
-                sched.send_edge(row, consumer, buffer, len(buffer))
-                if dest_rank == rank:
-                    sched.deliver_edge(consumer)
-                else:
-                    channels[(rank, dest_rank)].append(consumer)
-            sched.finish_tile(row)
-        if not progress:
-            raise RuntimeExecutionError(
-                f"SPMD deadlock: {sched.finished} of {T} tiles ran, no "
-                "rank can make progress"
-            )
-
-    undelivered = sum(len(c) for c in channels.values())
+    # One ghost-array arena shared by every rank's turns, sized for the
+    # widest front any rank can pop (a turn is done with it before the
+    # next one starts; retained interiors are copies).
+    cap = max(arena_capacities(run.graph, run.rank_of, ranks, run.resolved))
+    arena = np.empty((cap,) + tuple(program.layout.padded_shape))
+    loop = _RankLoop(run, arena)
+    loop.sched.seed()
+    transport = _InlineTransport(loop.sched)
+    loop.drive(transport)
+    undelivered = sum(len(c) for c in transport.channels.values())
     if undelivered:  # pragma: no cover - implied by finished == T
         raise RuntimeExecutionError(
             f"{undelivered} cross-rank messages were never received"
         )
-    sched.verify_drained()
-    if state.cells_computed != graph.total_work():
-        raise RuntimeExecutionError(
-            f"computed {state.cells_computed} cells but the graph holds "
-            f"{graph.total_work()} points"
-        )
-
-    return ExecutionResult(
-        objective_point=state.objective,
-        objective_value=state.objective_value,
-        tiles_executed=len(tile_order),
-        cells_computed=state.cells_computed,
-        tile_order=tile_order,
-        memory=sched.memory_snapshot(),
-        values=state.values,
-        edges=kept_edges,
-        mode=resolved,
-        ranks=ranks,
-        memory_per_rank=sched.memory_per_rank(),
-        tiles_per_rank=list(sched.finished_per_rank),
-        cross_rank_messages=sched.cross_rank_messages,
-        cross_rank_cells=sched.cross_rank_cells,
-        events=sched.events,
-        schedule=schedule,
-        tile_widths=dict(program.spec.tile_widths),
-    )
-
-
-def _run_spmd_wavefront(
-    ce,
-    program: GeneratedProgram,
-    params: Dict[str, int],
-    ranks: int,
-    graph: TileGraph,
-    rank_of: np.ndarray,
-    priority_scheme: str,
-    record_values: bool,
-    record_events: bool,
-    schedule: str = "dynamic",
-) -> ExecutionResult:
-    """The wavefront-fused SPMD driver: each rank drains whole fronts.
-
-    Per scheduling turn a rank receives its inbound messages, pops every
-    ready tile of its lowest static wavefront level
-    (:meth:`~repro.runtime.scheduler.TileScheduler.start_batch`) and
-    evaluates the batch in one fused operation.  Packed edges survive
-    only at rank boundaries — exactly the edges the generated C sends
-    over MPI: incoming cross-rank edges are consumed from the
-    scheduler's store (:meth:`~TileScheduler.take_edge`) and unpacked
-    into the batch's ghost margins, outgoing cross-rank edges are packed
-    from the batch and posted to the FIFO channels.  Same-rank edges
-    travel as array slices of retained interiors and are never packed,
-    so edge-memory accounting here covers cross-rank traffic only.
-    """
-    spaces = program.spaces
-    layout = program.layout
-    local_vars = spaces.local_vars
-    deltas = program.deltas
-    pack_plans = program.pack_plans
-
-    state = ce.make_run_state(params, None, "wavefront", record_values)
-    sched = TileScheduler(
-        graph,
-        ranks=ranks,
-        rank_of=rank_of,
-        priority_scheme=priority_scheme,
-        record_events=record_events,
-        batch=True,
-        schedule=schedule,
-    )
-    sched.seed()
-    run = WavefrontRun(
-        ce.wavefront_engine,
-        graph,
-        params,
-        rank_of=rank_of,
-        values=state.values,
-    )
-
-    tile_tuples = graph.tile_tuples
-    T = len(tile_tuples)
-    tile_order: List[TileIndex] = []
-    rank_list = rank_of.tolist()
-    pptr = graph.prod_ptr.tolist()
-    prows = graph.prod_rows.tolist()
-
-    channels: Dict[Tuple[int, int], Deque[int]] = {
-        (src, dst): deque()
-        for src in range(ranks)
-        for dst in range(ranks)
-        if src != dst
-    }
-
-    def drain_inbox(rank: int) -> bool:
-        received = False
-        for src in range(ranks):
-            if src == rank:
-                continue
-            channel = channels[(src, rank)]
-            while channel:
-                sched.deliver_edge(channel.popleft())
-                received = True
-        return received
-
-    while sched.finished < T:
-        progress = False
-        for rank in range(ranks):
-            if drain_inbox(rank):
-                progress = True
-            rows = sched.start_batch(rank)
-            if not rows:
-                continue
-            progress = True
-
-            # Collect the batch's cross-rank incoming edges from the
-            # packed store; same-rank edges ghost-fill from retained
-            # interiors inside execute_batch.
-            packed: Dict[Tuple[int, int], np.ndarray] = {}
-            for row in rows:
-                for e in range(pptr[row], pptr[row + 1]):
-                    p = prows[e]
-                    if rank_list[p] != rank:
-                        packed[(p, row)] = sched.take_edge(p, row)
-
-            batch = run.execute_batch(rows, packed=packed)
-
-            for b, row in enumerate(rows):
-                tile = tile_tuples[row]
-                tile_order.append(tile)
-                state.note_objective(tile, batch[b])
-                tile_env = dict(params)
-                tile_env.update(spaces.tile_env(tile))
-                for consumer, delta_id, _, dest_rank in sched.outgoing(row):
-                    if dest_rank == rank:
-                        sched.deliver_edge(consumer)
-                    else:
-                        plan = pack_plans[deltas[delta_id]]
-                        buffer = plan.pack(
-                            tile_env, batch[b], layout, local_vars
-                        )
-                        sched.send_edge(row, consumer, buffer, len(buffer))
-                        channels[(rank, dest_rank)].append(consumer)
-                sched.finish_tile(row)
-        if not progress:
-            raise RuntimeExecutionError(
-                f"SPMD deadlock: {sched.finished} of {T} tiles ran, no "
-                "rank can make progress"
-            )
-
-    undelivered = sum(len(c) for c in channels.values())
-    if undelivered:  # pragma: no cover - implied by finished == T
-        raise RuntimeExecutionError(
-            f"{undelivered} cross-rank messages were never received"
-        )
-    sched.verify_drained()
-    run.verify_drained()
-    state.cells_computed = run.cells
-    if state.cells_computed != graph.total_work():
-        raise RuntimeExecutionError(
-            f"computed {state.cells_computed} cells but the graph holds "
-            f"{graph.total_work()} points"
-        )
-
-    return ExecutionResult(
-        objective_point=state.objective,
-        objective_value=state.objective_value,
-        tiles_executed=len(tile_order),
-        cells_computed=state.cells_computed,
-        tile_order=tile_order,
-        memory=sched.memory_snapshot(),
-        values=state.values,
-        edges=None,
-        mode="wavefront",
-        ranks=ranks,
-        memory_per_rank=sched.memory_per_rank(),
-        tiles_per_rank=list(sched.finished_per_rank),
-        cross_rank_messages=sched.cross_rank_messages,
-        cross_rank_cells=sched.cross_rank_cells,
-        events=sched.events,
-        schedule=schedule,
-        tile_widths=dict(program.spec.tile_widths),
-    )
+    return _assemble(run, "inline", [loop.finish(transport.ranks)])

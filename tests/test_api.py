@@ -23,7 +23,6 @@ class TestNamespacing:
         import repro.generator.cgen.program
         import repro.generator.cugen.program
         import repro.generator.pygen.program
-        import repro.polyhedra.ehrhart2
         import repro.runtime.recover
         import repro.simulate.calibrate
         import repro.simulate.trace

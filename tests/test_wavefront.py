@@ -437,6 +437,15 @@ class TestRankOfValidation:
         ):
             run_spmd(bandit2_program, params, ranks=2, rank_of=bad)
 
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    @pytest.mark.parametrize("ranks", [0, -2])
+    def test_rank_count_validated(self, bandit2_program, ranks, backend):
+        # execute() with fewer than one rank fails like run_spmd instead
+        # of silently running a single rank.
+        message = f"rank count must be >= 1, got {ranks}"
+        with pytest.raises(RuntimeExecutionError, match=message):
+            execute(bandit2_program, {"N": 6}, ranks=ranks, backend=backend)
+
 
 class TestRankAssignmentVectorized:
     """rank_of_rows matches the scalar per-tile load-balancer lookup."""
