@@ -19,6 +19,15 @@ Region, in producer-local coordinates ``i'`` (with global ghost margins
 intersected with the producer's local space (boundary tiles are partial).
 The consumer-local coordinate of a packed cell is ``i' + w * delta``,
 which lands inside the consumer's ghost margin by construction.
+
+The region is kept as a symbolic loop nest (``PackPlan.region_nest``):
+the C and Python emitters print it as the pack/unpack loops, and the
+tile graph counts it.  The runtime never walks it cell by cell.  It
+lowers the nest once per region shape to flat padded-array index arrays
+(:func:`repro.polyhedra.batch.nest_scan_array`, the same lexicographic
+order), so ``pack`` is one gather ``array.flat[src]`` and ``unpack`` one
+scatter ``array.flat[dst] = buffer`` — the concrete-index-format
+lowering of "Compiling Recurrences over Dense and Sparse Arrays".
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import numpy as np
 
 from ..errors import GenerationError
 from ..polyhedra import Constraint, ConstraintSystem, LinExpr, LoopNest, synthesize_loop_nest
+from ..polyhedra.batch import nest_scan_array
 from ..spec import ProblemSpec
 from .mapping import TileLayout
 from .spaces import IterationSpaces
@@ -38,7 +48,14 @@ from .tile_deps import Delta, tile_dependency_map
 
 @dataclass(frozen=True)
 class PackPlan:
-    """Everything needed to pack/unpack one edge (one delta)."""
+    """Everything needed to pack/unpack one edge (one delta).
+
+    :attr:`region_nest` is the scan the emitters print and the tests use
+    as the oracle; :meth:`pack`/:meth:`unpack` run on index arrays built
+    from it lazily (never at generation time) and memoized on the plan:
+    one shared pair for fully-interior regions, one pair per producer
+    tile for clipped ones.
+    """
 
     delta: Delta
     templates: Tuple[str, ...]
@@ -89,12 +106,9 @@ class PackPlan:
         layout: TileLayout,
         local_vars: Tuple[str, ...],
     ) -> np.ndarray:
-        """Condense the face region of *array* into a flat buffer."""
-        values: List[float] = []
-        for env in self.region_nest.iterate(dict(producer_env)):
-            local = tuple(env[v] for v in local_vars)
-            values.append(array[layout.array_index(local)])
-        return np.asarray(values, dtype=array.dtype)
+        """Condense the face region of *array* into a fresh flat buffer."""
+        src, _ = self._indices(producer_env, layout, local_vars)
+        return array.flat[src]
 
     def unpack(
         self,
@@ -109,17 +123,105 @@ class PackPlan:
         *producer_env* is the same environment used by :meth:`pack` — the
         iteration spaces must match exactly for the order to agree.
         """
-        pos = 0
-        for env in self.region_nest.iterate(dict(producer_env)):
-            local = tuple(env[v] for v in local_vars)
-            ghost = tuple(i + s for i, s in zip(local, self.consumer_shift))
-            array[layout.array_index(ghost)] = buffer[pos]
-            pos += 1
-        if pos != len(buffer):
+        _, dst = self._indices(producer_env, layout, local_vars)
+        if len(dst) != len(buffer):
             raise GenerationError(
-                f"unpack consumed {pos} cells but the buffer holds "
+                f"unpack scans {len(dst)} cells but the buffer holds "
                 f"{len(buffer)}; pack/unpack iteration spaces diverged"
             )
+        array.flat[dst] = buffer
+
+    # -- index plans ----------------------------------------------------------
+
+    def _indices(
+        self,
+        producer_env: Mapping[str, int],
+        layout: TileLayout,
+        local_vars: Tuple[str, ...],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat padded-array ``(src, dst)`` indices of the region, memoized.
+
+        A full region is the same local slab for every tile and every
+        parameter set, so it has one entry per plan.  Clipped (and empty)
+        regions are keyed by the producer tile and kept for the most
+        recent parameter set only, so the memo is bounded by one run's
+        tile space.  The memo is dropped when the layout or the local
+        variable order changes.
+        """
+        memo = self.__dict__.get("_index_memo")
+        geometry = (layout, tuple(local_vars))
+        if memo is None or memo["geometry"] != geometry:
+            memo = {"geometry": geometry, "full": None, "params": None,
+                    "clipped": {}}
+            object.__setattr__(self, "_index_memo", memo)
+        if self.full_checker is not None and self.full_checker(producer_env):
+            if memo["full"] is None:
+                memo["full"] = self._scan_indices(
+                    producer_env, layout, local_vars
+                )
+            return memo["full"]
+        param_names, tile_names = self._memo_names()
+        params = tuple(producer_env[p] for p in param_names)
+        if params != memo["params"]:
+            memo["params"] = params
+            memo["clipped"] = {}
+        clipped = memo["clipped"]
+        key = tuple(producer_env[t] for t in tile_names)
+        found = clipped.get(key)
+        if found is None:
+            found = clipped[key] = self._scan_indices(
+                producer_env, layout, local_vars
+            )
+        return found
+
+    def _memo_names(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """``(parameter names, tile-variable names)`` the region reads.
+
+        Tile variables are the ones :attr:`full_box` is affine in; every
+        other free symbol of :attr:`region_nest` counts as a parameter.
+        """
+        cached = self.__dict__.get("_names")
+        if cached is not None:
+            return cached
+        from ..polyhedra.compile import _free_variables
+
+        tiles: List[str] = []
+        for (lo_coeffs, _), _ in (self.full_box or {}).values():
+            tiles.extend(t for t in lo_coeffs if t not in tiles)
+        params = tuple(
+            v for v in _free_variables(self.region_nest) if v not in tiles
+        )
+        names = (params, tuple(tiles))
+        object.__setattr__(self, "_names", names)
+        return names
+
+    def _scan_indices(
+        self,
+        producer_env: Mapping[str, int],
+        layout: TileLayout,
+        local_vars: Tuple[str, ...],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Scan the region as arrays and lower it to flat indices.
+
+        A cell outside the padded array raises the
+        :meth:`TileLayout.array_index` ``IndexError`` (first offending
+        cell in scan order).
+        """
+        nest = self.region_nest
+        points = nest_scan_array(nest, producer_env)
+        points = points[:, [nest.order.index(v) for v in local_vars]]
+        lo = np.asarray(layout.ghost_lo, dtype=np.int64)
+        extent = np.asarray(layout.padded_shape, dtype=np.int64)
+        flat = []
+        for shift in ((0,) * len(lo), self.consumer_shift):
+            padded = points + np.asarray(shift, dtype=np.int64) + lo
+            bad = np.flatnonzero(((padded < 0) | (padded >= extent)).any(1))
+            if bad.size:
+                layout.array_index([int(i) for i in padded[bad[0]] - lo])
+            idx = np.ravel_multi_index(tuple(padded.T), layout.padded_shape)
+            idx.flags.writeable = False  # shared by every call of the memo
+            flat.append(idx)
+        return flat[0], flat[1]
 
 
 def build_pack_plans(

@@ -24,9 +24,12 @@ numpy operations instead:
    values are whole-array *views* of the padded ghost array shifted by
    the template vector — no gather logic beyond numpy fancy indexing.
 
-3. **Pack/unpack plans are reused unchanged** — the engine only replaces
-   the center loop; the edge protocol, memory accounting and tile
-   ordering are byte-for-byte those of the interpreter.
+3. **Edges move by the shared index plans** — the engine only replaces
+   the center loop.  Pack and unpack are the plan's index-array gather
+   and scatter (:class:`repro.generator.packing.PackPlan`), the same
+   ones the interpreter path uses, so the edge protocol, memory
+   accounting and tile ordering are byte-for-byte those of the
+   interpreter.
 
 The engine is bit-identical to the interpreter: vector kernels apply the
 same IEEE operations in the same order, and the cross-check suite
@@ -344,11 +347,11 @@ class WavefrontEngine:
     """Evaluates whole ready-fronts of tiles as one batched operation.
 
     The per-tile :class:`VectorTileEngine` still pays Python per tile:
-    one ghost-array allocation, one pack/unpack round-trip per edge (a
-    cell-by-cell Python loop), one validity evaluation, and one kernel
-    call per intra-tile wavefront.  This engine amortizes all of that
-    over a *batch* — every simultaneously-ready tile of one static
-    wavefront level (see
+    one ghost-array allocation, one pack/unpack round-trip per edge (an
+    index-array gather into a fresh buffer, then a scatter), one
+    validity evaluation, and one kernel call per intra-tile wavefront.
+    This engine amortizes all of that over a *batch* — every
+    simultaneously-ready tile of one static wavefront level (see
     :meth:`repro.runtime.scheduler.TileScheduler.start_batch`):
 
     * the batch shares a single padded ghost array of shape

@@ -19,11 +19,13 @@ neighbours).
 Recovery owns no scheduling or compilation machinery of its own: the
 forward pass is :func:`repro.runtime.executor.execute` (and therefore
 :class:`repro.runtime.scheduler.TileScheduler`), tile recomputation
-runs the interpreter's own tile body
+runs the forward pass's own tile body on the engine it resolved to
 (:meth:`~repro.runtime.executor.CompiledExecutor.make_run_state` →
-``execute_tile``) with its cached scanner and validity checks, and
-producer edges come from the graph's CSR arrays — the same delta-order
-walk the unpack loop uses.
+``execute_tile``: the per-tile vector engine whenever the spec has a
+vector kernel, the interpreter for a custom scalar kernel), with the
+same "valid but never delivered" checks, and producer edges come from
+the graph's CSR arrays — the same delta-order walk the unpack loop
+uses.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class SolutionRecovery:
                 env, edges[(producer, tile)], array, layout, spaces.local_vars
             )
         state = self._compiled.make_run_state(
-            self.params, self.kernel, "interpret", record_values=True
+            self.params, self.kernel, self.result.mode, record_values=True
         )
         state.execute_tile(tile, array)
         values = state.values

@@ -5,7 +5,7 @@ import pytest
 
 from repro.generator import build_iteration_spaces, build_layout, build_pack_plans
 from repro.generator.tile_deps import delta_between, dependency_deltas
-from repro.problems import lcs_spec, two_arm_spec
+from repro.problems import REGISTRY, lcs_spec, two_arm_spec
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +158,171 @@ def test_region_sizes_smaller_than_tile(bandit_setup):
     assert tile_cells == 3 ** 4
     for plan in plans.values():
         assert plan.region_size(env) == 3 ** 3
+
+
+# -- index-array plans against the scalar scan ------------------------------
+
+
+def oracle_pack(plan, env, array, layout, local_vars):
+    """The scalar pack: walk the region nest, one ``array_index`` per cell."""
+    values = []
+    for point in plan.region_nest.iterate(dict(env)):
+        local = tuple(point[v] for v in local_vars)
+        values.append(array[layout.array_index(local)])
+    return np.asarray(values, dtype=array.dtype)
+
+
+def oracle_unpack_cells(plan, env, layout, local_vars):
+    """Padded indices the scalar unpack writes, in buffer order."""
+    cells = []
+    for point in plan.region_nest.iterate(dict(env)):
+        local = tuple(point[v] for v in local_vars)
+        ghost = tuple(i + s for i, s in zip(local, plan.consumer_shift))
+        cells.append(layout.array_index(ghost))
+    return cells
+
+
+def registry_program(name, width):
+    from repro.analysis.probe import probe_params
+    from repro.cli import _builtin_spec
+
+    spec = _builtin_spec(name, width)
+    spaces = build_iteration_spaces(spec)
+    layout = build_layout(spec)
+    plans = build_pack_plans(spec, spaces, layout)
+    return spec, spaces, layout, plans, probe_params(spec, cap=7)
+
+
+def producer_tiles(spaces, params):
+    """Every tile of the space plus tiles just outside it."""
+    tiles = list(spaces.tiles(params))
+    d = len(spaces.tile_vars)
+    hi = tuple(max(t[k] for t in tiles) for k in range(d))
+    outside = [
+        tuple(-1 for _ in range(d)),
+        tuple(h + 1 for h in hi),
+        tuple(h + 2 if k == 0 else 0 for k, h in enumerate(hi)),
+    ]
+    return tiles, outside
+
+
+@pytest.mark.parametrize("width", [3, 5])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_index_plans_match_scalar_scan(name, width):
+    """pack/unpack are byte-identical to the scalar scan on every edge."""
+    spec, spaces, layout, plans, params = registry_program(name, width)
+    local_vars = spaces.local_vars
+    tiles, outside = producer_tiles(spaces, params)
+    rng = np.random.default_rng(7)
+    array = rng.standard_normal(layout.padded_shape)
+    kinds = set()
+    for delta, plan in plans.items():
+        for tile in tiles + outside:
+            env = dict(params)
+            env.update(spaces.tile_env(tile))
+            expected = oracle_pack(plan, env, array, layout, local_vars)
+            got = plan.pack(env, array, layout, local_vars)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes(), (delta, tile)
+            assert not np.shares_memory(got, array)
+            assert len(got) == plan.region_size(env)
+
+            target = np.zeros(layout.padded_shape)
+            plan.unpack(env, got, target, layout, local_vars)
+            written = np.zeros(layout.padded_shape, dtype=bool)
+            cells = oracle_unpack_cells(plan, env, layout, local_vars)
+            for cell, value in zip(cells, expected):
+                written[cell] = True
+                assert target[cell] == value
+            assert not target[~written].any(), "unpack wrote outside region"
+
+            full = plan.full_checker(env)
+            if tile in outside:
+                kinds.add("outside")
+            elif full:
+                kinds.add("full")
+            elif len(expected):
+                kinds.add("clipped")
+            else:
+                kinds.add("empty")
+    assert "outside" in kinds and "clipped" in kinds
+
+
+def test_full_regions_share_one_index_pair(bandit_setup):
+    spec, spaces, layout, plans = bandit_setup
+    params = {"N": 30}
+    array = np.zeros(layout.padded_shape)
+    for plan in plans.values():
+        shared = set()
+        for tile in [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 2)]:
+            env = dict(params)
+            env.update(spaces.tile_env(tile))
+            assert plan.full_checker(env)
+            plan.pack(env, array, layout, spaces.local_vars)
+            shared.add(id(plan._index_memo["full"]))
+        assert len(shared) == 1
+
+
+def test_index_memo_bounded_across_parameter_sets():
+    """Clipped entries live for the most recent parameter set only."""
+    spec = two_arm_spec(tile_width=3)
+    spaces = build_iteration_spaces(spec)
+    layout = build_layout(spec)
+    plans = build_pack_plans(spec, spaces, layout)
+    array = np.arange(layout.cells, dtype=float).reshape(layout.padded_shape)
+    for n in (14, 5, 11, 7):
+        params = {"N": n}
+        tiles = list(spaces.tiles(params))
+        for plan in plans.values():
+            for tile in tiles:
+                env = dict(params)
+                env.update(spaces.tile_env(tile))
+                got = plan.pack(env, array, layout, spaces.local_vars)
+                expected = oracle_pack(
+                    plan, env, array, layout, spaces.local_vars
+                )
+                assert got.tobytes() == expected.tobytes()
+            assert len(plan._index_memo["clipped"]) <= len(tiles)
+
+
+def test_unpack_rejects_short_buffer(bandit_setup):
+    from repro.errors import GenerationError
+
+    spec, spaces, layout, plans = bandit_setup
+    params = {"N": 30}
+    env = dict(params)
+    env.update(spaces.tile_env((1, 1, 1, 1)))
+    target = np.zeros(layout.padded_shape)
+    for plan in plans.values():
+        size = plan.region_size(env)
+        for bad in (size - 1, size + 1):
+            with pytest.raises(GenerationError):
+                plan.unpack(
+                    env, np.zeros(bad), target, layout, spaces.local_vars
+                )
+    assert not target.any(), "a rejected buffer was partly scattered"
+
+
+def test_out_of_margin_raises_index_error(bandit_setup):
+    """A layout without ghost margins cannot hold the consumer's cells."""
+    from repro.generator.mapping import TileLayout
+
+    spec, spaces, layout, plans = bandit_setup
+    bare = TileLayout(
+        loop_vars=layout.loop_vars,
+        widths=layout.widths,
+        ghost_lo=(0,) * len(layout.widths),
+        ghost_hi=(0,) * len(layout.widths),
+    )
+    params = {"N": 30}
+    env = dict(params)
+    env.update(spaces.tile_env((1, 1, 1, 1)))
+    plan = next(iter(plans.values()))
+    local_vars = spaces.local_vars
+    buf = plan.pack(env, np.zeros(layout.padded_shape), layout, local_vars)
+    with pytest.raises(IndexError):
+        oracle_unpack_cells(plan, env, bare, local_vars)
+    with pytest.raises(IndexError):
+        plan.unpack(env, buf, np.zeros(bare.padded_shape), bare, local_vars)
+    # The memo follows the layout back: the original still works.
+    plan.unpack(env, buf, np.zeros(layout.padded_shape), layout, local_vars)

@@ -185,3 +185,82 @@ class TestViterbiPathRecovery:
         for t in range(1, len(obs)):
             logp += trans[states[t - 1], states[t]] + emit[states[t], obs[t]]
         assert logp == pytest.approx(best_ref, abs=1e-9)
+
+
+def interpreter_tile_values(rec, tile):
+    """Recompute *tile* from the saved edges with the interpreter."""
+    import numpy as np
+
+    program = rec.program
+    spaces = program.spaces
+    layout = program.layout
+    array = np.full(layout.padded_shape, np.nan)
+    row = rec.graph.row_of(tile)
+    for producer_row, delta_id in rec.graph.producer_edges(row):
+        producer = rec.graph.tile_tuples[producer_row]
+        env = dict(rec.params)
+        env.update(spaces.tile_env(producer))
+        program.pack_plans[program.deltas[delta_id]].unpack(
+            env, rec.result.edges[(producer, tile)], array, layout,
+            spaces.local_vars,
+        )
+    state = rec._compiled.make_run_state(
+        rec.params, rec.kernel, "interpret", record_values=True
+    )
+    state.execute_tile(tile, array)
+    return state.values
+
+
+class TestRecomputationEngine:
+    """Tiles are recomputed on the forward pass's engine, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["bandit2", "lcs"])
+    def test_vector_recompute_equals_interpreter(
+        self, case, bandit2_w4_program, monkeypatch
+    ):
+        from repro.analysis.probe import default_params
+        from repro.generator import generate
+        from repro.problems import lcs_spec, random_sequence
+
+        if case == "bandit2":
+            program, params = bandit2_w4_program, {"N": 14}
+        else:
+            a, b = random_sequence(40, seed=5), random_sequence(37, seed=6)
+            program = generate(lcs_spec([a, b], tile_width=8))
+            params = default_params(program.spec)
+        rec = SolutionRecovery(program, params, cache_tiles=0)
+        assert rec.result.mode == "vector"
+        engine = rec._compiled.vector_engine
+        calls = []
+        run_tile = engine.execute_tile
+        monkeypatch.setattr(
+            engine, "execute_tile",
+            lambda *a, **k: calls.append(1) or run_tile(*a, **k),
+        )
+        full = execute(program, params, mode="interpret", record_values=True)
+        tiles = list(rec.graph.tiles)
+        assert len(tiles) > 20
+        for tile in tiles:
+            got = rec.tile_values(tile)
+            expected = interpreter_tile_values(rec, tile)
+            assert got == expected
+            assert all(full.values[k] == v for k, v in got.items())
+            # A recompute hands out a new dict every time.
+            assert rec.tile_values(tile) is not got
+        assert len(calls) == 2 * len(tiles), "recomputed off the vector engine"
+
+    def test_custom_scalar_kernel_recovers_on_interpreter(
+        self, bandit2_program
+    ):
+        base = bandit2_program.spec.kernel
+
+        def kernel(point, deps, params):
+            return base(point, deps, params)
+
+        rec = SolutionRecovery(bandit2_program, {"N": 7}, kernel=kernel)
+        assert rec.result.mode == "interpret"
+        assert rec.value_at(
+            {"s1": 0, "f1": 0, "s2": 0, "f2": 0}
+        ) == pytest.approx(two_arm_reference(7), abs=1e-12)
+        tile = next(iter(rec.graph.tiles))
+        assert rec.tile_values(tile) == interpreter_tile_values(rec, tile)
